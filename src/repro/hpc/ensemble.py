@@ -13,7 +13,7 @@ take, so both the numerics and the projected speedup are real outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -146,33 +146,8 @@ class EnsembleExecutor:
     ) -> "tuple[np.ndarray, EnsembleResult]":
         """EQC-style distributed gradient: the 2m shifted evaluations
         are scheduled over the ensemble.  Returns (gradient, result)."""
-        import math as _math
+        from repro.opt.parameter_shift import _shift_gradient, _shift_rows
 
-        from repro.opt.parameter_shift import (
-            _parameter_occurrences,
-            supports_parameter_shift,
-        )
-
-        if not supports_parameter_shift(circuit):
-            raise ValueError("circuit does not satisfy the shift rule")
-        names = circuit.parameters
-        params = np.asarray(params, dtype=float)
-        occ = _parameter_occurrences(circuit)
-        values = dict(zip(names, params))
-        shifted: List[Circuit] = []
-        coeffs = np.zeros(len(names))
-        for k, name in enumerate(names):
-            (pref,) = occ[name]
-            coeffs[k] = pref.coeff
-            shift = _math.pi / (2.0 * pref.coeff) if pref.coeff else 0.0
-            up = dict(values)
-            up[name] = values[name] + shift
-            down = dict(values)
-            down[name] = values[name] - shift
-            shifted.append(circuit.bind(up))
-            shifted.append(circuit.bind(down))
-        result = self.evaluate(shifted, observable)
-        e = result.values
-        grad = 0.5 * (e[0::2] - e[1::2]) * coeffs
-        grad[coeffs == 0] = 0.0
-        return grad, result
+        rows, coeffs = _shift_rows(circuit, params)
+        result = self.evaluate([circuit.bind(row) for row in rows], observable)
+        return _shift_gradient(result.values, coeffs), result

@@ -6,7 +6,7 @@ closed when the block exits.  Spans nest: the tracer keeps a per-thread
 stack, so every span knows its parent and depth, and the whole run
 becomes a tree whose timeline can be inspected three ways:
 
-* ``Tracer.totals()`` — per-name aggregate (the ``Timer`` view),
+* ``Tracer.totals()`` — per-name (total seconds, call count) aggregate,
 * ``Tracer.to_chrome_trace()`` — Chrome trace-event JSON (open the
   file in Perfetto / ``chrome://tracing`` for a flame chart),
 * ``RunReport`` (``repro.obs.report``) — the serializable summary.
@@ -203,7 +203,7 @@ class Tracer:
     # -- views --------------------------------------------------------------
 
     def totals(self) -> Dict[str, Tuple[float, int]]:
-        """Per-name (total_seconds, count) aggregate, like ``Timer``."""
+        """Per-name (total_seconds, count) aggregate over every span."""
         out: Dict[str, Tuple[float, int]] = {}
         for s in self.spans:
             total, count = out.get(s.name, (0.0, 0))

@@ -22,7 +22,7 @@ computed by one backward pass applying U_k^dag to both vectors.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -164,23 +164,18 @@ class AnsatzObjective:
         """Adjoint-mode gradient: O(1) extra evolutions, exact."""
         self.gradient_evaluations += 1
         with obs.span("opt.objective_gradient", parameters=self.num_parameters):
-            return self._gradient_impl(np.asarray(params, dtype=float))
-
-    def _gradient_impl(self, params: np.ndarray) -> np.ndarray:
-        psi = self.prepare_state(params)
-        lam = self._compiled_h.apply(psi)
-        phi = psi
-        grad = np.zeros(self.num_parameters)
-        for k in range(self.num_parameters - 1, -1, -1):
-            ev = self.evolutions[k]
-            grad[k] = 2.0 * np.real(np.vdot(lam, ev.apply_generator(phi)))
-            phi = ev.apply(phi, -params[k])
-            lam = ev.apply(lam, -params[k])
-        return grad
+            return self._adjoint(np.asarray(params, dtype=float))[1]
 
     def energy_and_gradient(self, params: np.ndarray):
         """Single-pass convenience for optimizers wanting both."""
-        params = np.asarray(params, dtype=float)
+        energy, grad = self._adjoint(np.asarray(params, dtype=float))
+        self.energy_evaluations += 1
+        self.gradient_evaluations += 1
+        return energy, grad
+
+    def _adjoint(self, params: np.ndarray):
+        """One forward evolution, one ``H|psi>`` and one backward sweep;
+        returns ``(energy, gradient)``."""
         psi = self.prepare_state(params)
         lam = self._compiled_h.apply(psi)
         energy = float(np.real(np.vdot(psi, lam)))
@@ -191,6 +186,4 @@ class AnsatzObjective:
             grad[k] = 2.0 * np.real(np.vdot(lam, ev.apply_generator(phi)))
             phi = ev.apply(phi, -params[k])
             lam = ev.apply(lam, -params[k])
-        self.energy_evaluations += 1
-        self.gradient_evaluations += 1
         return energy, grad

@@ -54,6 +54,51 @@ def supports_parameter_shift(circuit: Circuit) -> bool:
     return all(len(v) == 1 and v[0] is not None for v in occ.values())
 
 
+def _checked_params(circuit: Circuit, params: np.ndarray) -> np.ndarray:
+    """``params`` as a float vector, after checking that the circuit
+    satisfies the shift rule and that one value is given per parameter."""
+    if not supports_parameter_shift(circuit):
+        raise ValueError(
+            "parameter-shift rule requires each parameter in exactly one "
+            "RX/RY/RZ/P/RZZ/RXX/RYY gate; use adjoint gradients for "
+            "product-of-exponential ansatze"
+        )
+    params = np.asarray(params, dtype=float)
+    if params.shape != (circuit.num_parameters,):
+        raise ValueError(f"expected {circuit.num_parameters} parameters")
+    return params
+
+
+def _shift_rows(circuit: Circuit, params: np.ndarray):
+    """The 2m shifted parameter rows of the two-term rule, plus the
+    per-parameter gate coefficients.
+
+    Gate angle = coeff * p + offset, so shifting the *gate angle* by
+    +/- pi/2 means shifting p by +/- pi / (2 coeff): row ``2k`` is
+    ``params`` with parameter k shifted up, row ``2k + 1`` shifted down.
+    A parameter with coeff 0 keeps both rows unshifted.  Evaluate the
+    rows by any means and hand the energies to :func:`_shift_gradient`.
+    """
+    params = _checked_params(circuit, params)
+    occ = _parameter_occurrences(circuit)
+    coeffs = np.array([occ[name][0].coeff for name in circuit.parameters], dtype=float)
+    rows = np.tile(params, (2 * len(coeffs), 1))
+    k = np.flatnonzero(coeffs)
+    shift = math.pi / (2.0 * coeffs[k])
+    rows[2 * k, k] += shift
+    rows[2 * k + 1, k] -= shift
+    return rows, coeffs
+
+
+def _shift_gradient(energies: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Combine the energies of :func:`_shift_rows`'s rows into the
+    gradient; d(angle)/dp = coeff restores the chain rule."""
+    energies = np.asarray(energies, dtype=float)
+    grad = 0.5 * (energies[0::2] - energies[1::2]) * coeffs
+    grad[coeffs == 0] = 0.0
+    return grad
+
+
 def parameter_shift_gradient(
     circuit: Circuit,
     hamiltonian: PauliSum,
@@ -65,41 +110,18 @@ def parameter_shift_gradient(
     ``estimate`` defaults to the direct estimator; pass a sampling
     estimator's ``estimate`` method for the hardware-faithful variant.
     """
-    if not supports_parameter_shift(circuit):
-        raise ValueError(
-            "parameter-shift rule requires each parameter in exactly one "
-            "RX/RY/RZ/P/RZZ/RXX/RYY gate; use adjoint gradients for "
-            "product-of-exponential ansatze"
-        )
-    names = circuit.parameters
-    params = np.asarray(params, dtype=float)
-    if params.shape != (len(names),):
-        raise ValueError(f"expected {len(names)} parameters")
-    occ = _parameter_occurrences(circuit)
-
     if estimate is None:
-        return _plan_parameter_shift_gradient(circuit, hamiltonian, params, occ)
+        params = _checked_params(circuit, params)
+        return _plan_parameter_shift_gradient(circuit, hamiltonian, params)
 
     # custom estimate callables (e.g. a sampling estimator's bound
     # method) take bound circuits; keep the faithful per-evaluation path
-    values = dict(zip(names, params))
-    grad = np.zeros(len(names))
-    for k, name in enumerate(names):
-        (pref,) = occ[name]
-        # gate angle = coeff * p + offset; shifting the *gate angle* by
-        # +/- pi/2 means shifting p by +/- pi / (2 coeff).
-        if pref.coeff == 0:
-            continue
-        shift = math.pi / (2.0 * pref.coeff)
-        up = dict(values)
-        up[name] = values[name] + shift
-        down = dict(values)
-        down[name] = values[name] - shift
-        e_up = estimate(circuit.bind(up), hamiltonian)
-        e_down = estimate(circuit.bind(down), hamiltonian)
-        # d(angle)/dp = coeff; chain rule restores it.
-        grad[k] = 0.5 * (e_up - e_down) * pref.coeff
-    return grad
+    rows, coeffs = _shift_rows(circuit, params)
+    energies = np.zeros(len(rows))
+    for k in np.flatnonzero(coeffs):
+        for r in (2 * k, 2 * k + 1):
+            energies[r] = estimate(circuit.bind(rows[r]), hamiltonian)
+    return _shift_gradient(energies, coeffs)
 
 
 def _apply_resolved_inverse(state, kind, payload, qubits, n) -> None:
@@ -200,7 +222,6 @@ def _plan_parameter_shift_gradient(
     circuit: Circuit,
     hamiltonian: PauliSum,
     params: np.ndarray,
-    occ: Dict[str, List[Parameter]],
 ) -> np.ndarray:
     """The simulator fast path: reverse-mode evaluation of the shift
     derivatives on the compiled plan.
@@ -251,68 +272,6 @@ def _plan_parameter_shift_gradient(
     return grad
 
 
-def _prefix_parameter_shift_gradient(
-    circuit: Circuit,
-    hamiltonian: PauliSum,
-    params: np.ndarray,
-    occ: Dict[str, List[Parameter]],
-) -> np.ndarray:
-    """Shifted-evaluation path with explicit prefix reuse (the middle
-    rung the benchmark measures between naive bind+run and the
-    reverse-mode sweep).
-
-    Each shift-eligible parameter appears in exactly one gate, so the
-    shifted evaluations for parameter k share the op prefix up to that
-    gate with the unshifted circuit.  A base state is advanced through
-    the plan once (op position ``first_use[k]`` per parameter, ascending
-    by construction of ``Circuit.parameters``), and every shifted
-    evaluation copies the base prefix and replays only the suffix —
-    ~m * G kernel ops total instead of the naive 2 m G.
-    """
-    from repro import obs
-    from repro.sim.expectation import expectation_direct
-    from repro.sim.plan import compile_circuit
-
-    names = circuit.parameters
-    plan = compile_circuit(circuit)
-    base = np.zeros(plan.dim, dtype=np.complex128)
-    base[0] = 1.0
-    work = np.empty_like(base)
-    pos = 0
-    skipped = 0
-    grad = np.zeros(len(names))
-    for k, name in enumerate(names):
-        (pref,) = occ[name]
-        if pref.coeff == 0:
-            continue
-        fk = plan.first_use[k]
-        plan.execute_slice(base, params, pos, fk)
-        pos = fk
-        shift = math.pi / (2.0 * pref.coeff)
-        energies = []
-        for sign in (1.0, -1.0):
-            shifted = params.copy()
-            shifted[k] += sign * shift
-            work[:] = base
-            plan.execute_slice(work, shifted, fk)
-            energies.append(expectation_direct(work, hamiltonian))
-            skipped += fk
-        grad[k] = 0.5 * (energies[0] - energies[1]) * pref.coeff
-    if skipped and obs.enabled():
-        obs.inc(
-            "repro_plan_prefix_resumes_total",
-            2 * len(names),
-            help="Plan executions resumed from a parked prefix state",
-        )
-        obs.inc(
-            "repro_plan_prefix_ops_skipped_total",
-            skipped,
-            help="Kernel ops skipped via prefix-state reuse",
-            labels={"engine": "circuit"},
-        )
-    return grad
-
-
 def batched_parameter_shift_gradient(
     circuit: Circuit,
     hamiltonian: PauliSum,
@@ -328,36 +287,10 @@ def batched_parameter_shift_gradient(
     from repro.sim.batched import BatchedStatevectorSimulator
     from repro.sim.plan import compile_circuit
 
-    if not supports_parameter_shift(circuit):
-        raise ValueError(
-            "parameter-shift rule requires each parameter in exactly one "
-            "RX/RY/RZ/P/RZZ/RXX/RYY gate"
-        )
-    names = circuit.parameters
-    params = np.asarray(params, dtype=float)
-    if params.shape != (len(names),):
-        raise ValueError(f"expected {len(names)} parameters")
-    occ = _parameter_occurrences(circuit)
-
-    m = len(names)
-    batch = 2 * m
-    rows = np.tile(params, (batch, 1))
-    coeffs = np.zeros(m)
-    for k, name in enumerate(names):
-        (pref,) = occ[name]
-        coeffs[k] = pref.coeff
-        if pref.coeff == 0:
-            continue
-        shift = math.pi / (2.0 * pref.coeff)
-        rows[2 * k, k] += shift
-        rows[2 * k + 1, k] -= shift
-
+    rows, coeffs = _shift_rows(circuit, params)
     # the same compiled plan the scalar paths share (memoized on the
     # circuit): static segments pre-fused, diagonals pre-folded
     plan = compile_circuit(circuit)
-    sim = BatchedStatevectorSimulator(circuit.num_qubits, batch)
+    sim = BatchedStatevectorSimulator(circuit.num_qubits, len(rows))
     sim.run_plan(plan, rows)
-    energies = sim.expectations(hamiltonian)
-    grad = 0.5 * (energies[0::2] - energies[1::2]) * coeffs
-    grad[coeffs == 0] = 0.0
-    return grad
+    return _shift_gradient(sim.expectations(hamiltonian), coeffs)

@@ -992,12 +992,11 @@ class CampaignServer:
                 self._start_recovered(job)
                 execution = self.executions[job.job_id]
             runnable.append((job, execution))
-        # getattr: tests monkeypatch executions with bare stubs
-        brokered = [
-            (j, e) for j, e in runnable if getattr(e, "brokered", False)
-        ]
+        brokered: List[Tuple[JobRecord, _JobExecution]] = []
         for job, execution in runnable:
-            if not getattr(execution, "brokered", False):
+            if execution.brokered:
+                brokered.append((job, execution))
+            else:
                 self._step_one(job, execution)
         if brokered:
             self._step_batched(brokered)

@@ -3,33 +3,29 @@
 The paper lists batch execution — simulating multiple VQE circuits
 simultaneously to raise device utilization — as future work.  This
 module implements the single-device half of it: ``B`` instances of the
-*same* parameterized circuit with *different* parameter values evolve
-together as a ``(B, 2^n)`` amplitude matrix, so every gate application
-is one vectorized operation across the whole batch (the NumPy analogue
-of launching concurrent GPU kernels [cCUDA, paper ref 13]).
+*same* compiled :class:`repro.sim.plan.ExecutionPlan` with *different*
+parameter rows evolve together as a ``(B, 2^n)`` amplitude matrix, so
+every plan op is one vectorized operation across the whole batch (the
+NumPy analogue of launching concurrent GPU kernels [cCUDA, paper ref
+13]).
 
 This is exactly the workload VQE generates: parameter-shift gradients
 need ``2 m`` evaluations of one circuit at shifted angles, optimizer
 line searches need several, and parameter sweeps need hundreds.  The
 companion ``repro.opt.parameter_shift.batched_parameter_shift_gradient``
-and the batching benchmark quantify the win over one-at-a-time
-execution.
+and the serve-layer evaluation broker run their rows through
+:meth:`BatchedStatevectorSimulator.run_plan`.
 
-Parameterized gates receive a per-batch-row angle vector; fixed gates
-broadcast one matrix over the batch.
+Parametric plan ops receive a per-row angle vector; static ops
+(fused blocks, folded diagonals) broadcast one matrix over the batch.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Mapping, Optional, Sequence
-
 import numpy as np
 
 from repro import obs
-from repro.ir.circuit import Circuit
 from repro.ir.compiled import CompiledPauliSum, compile_observable
-from repro.ir.gates import Gate, Parameter
 from repro.ir.pauli import PauliSum
 from repro.utils.bitops import indices_1q, indices_2q
 
@@ -37,8 +33,8 @@ __all__ = ["BatchedStatevectorSimulator"]
 
 
 class BatchedStatevectorSimulator:
-    """B copies of an n-qubit register evolving under one circuit
-    template with per-copy parameters."""
+    """B copies of an n-qubit register evolving under one compiled
+    plan with per-copy parameters."""
 
     def __init__(
         self,
@@ -92,7 +88,8 @@ class BatchedStatevectorSimulator:
 
     @staticmethod
     def _batched_matrix(name: str, angles: np.ndarray) -> np.ndarray:
-        """Per-batch gate matrices for single-parameter rotation gates."""
+        """Per-batch gate matrices for the non-diagonal single-parameter
+        rotation gates (the diagonal ones go through :meth:`_batched_diag`)."""
         b = angles.shape[0]
         c = np.cos(angles / 2.0)
         s = np.sin(angles / 2.0)
@@ -107,23 +104,6 @@ class BatchedStatevectorSimulator:
             out[:, 0, 1] = -s
             out[:, 1, 0] = s
             return out
-        if name == "rz":
-            out = np.zeros((b, 2, 2), dtype=np.complex128)
-            e = np.exp(-0.5j * angles)
-            out[:, 0, 0] = e
-            out[:, 1, 1] = e.conj()
-            return out
-        if name == "p":
-            out = np.zeros((b, 2, 2), dtype=np.complex128)
-            out[:, 0, 0] = 1.0
-            out[:, 1, 1] = np.exp(1j * angles)
-            return out
-        if name == "rzz":
-            e = np.exp(-0.5j * angles)
-            out = np.zeros((b, 4, 4), dtype=np.complex128)
-            out[:, 0, 0] = out[:, 3, 3] = e
-            out[:, 1, 1] = out[:, 2, 2] = e.conj()
-            return out
         if name == "rxx":
             out = np.zeros((b, 4, 4), dtype=np.complex128)
             for d in range(4):
@@ -137,18 +117,6 @@ class BatchedStatevectorSimulator:
                 out[:, d, d] = c
             out[:, 0, 3] = out[:, 3, 0] = 1j * s
             out[:, 1, 2] = out[:, 2, 1] = -1j * s
-            return out
-        if name == "cp":
-            out = np.zeros((b, 4, 4), dtype=np.complex128)
-            out[:, 0, 0] = out[:, 1, 1] = out[:, 2, 2] = 1.0
-            out[:, 3, 3] = np.cos(angles) + 1j * np.sin(angles)
-            return out
-        if name == "crz":
-            e = np.cos(angles / 2.0) - 1j * np.sin(angles / 2.0)
-            out = np.zeros((b, 4, 4), dtype=np.complex128)
-            out[:, 0, 0] = out[:, 2, 2] = 1.0
-            out[:, 1, 1] = e
-            out[:, 3, 3] = e.conj()
             return out
         raise ValueError(
             f"no batched form for parameterized gate {name!r}; supported "
@@ -186,54 +154,6 @@ class BatchedStatevectorSimulator:
         return None
 
     # -- execution ------------------------------------------------------------
-
-    def run(
-        self,
-        circuit: Circuit,
-        parameter_table: Mapping[str, np.ndarray],
-        reset: bool = True,
-    ) -> np.ndarray:
-        """Execute the circuit template with per-row parameters.
-
-        ``parameter_table[name]`` is a length-B vector of values for
-        the named circuit parameter.  Returns the (B, 2^n) amplitude
-        matrix (live buffer).
-        """
-        if circuit.num_qubits != self.num_qubits:
-            raise ValueError("circuit width mismatch")
-        missing = set(circuit.parameters) - set(parameter_table)
-        if missing:
-            raise ValueError(f"missing parameter vectors: {sorted(missing)}")
-        table = {
-            k: np.asarray(v, dtype=float) for k, v in parameter_table.items()
-        }
-        for k, v in table.items():
-            if v.shape != (self.batch_size,):
-                raise ValueError(
-                    f"parameter {k!r}: expected shape ({self.batch_size},)"
-                )
-        if reset:
-            self.reset()
-        for g in circuit.gates:
-            if g.is_parameterized:
-                (p,) = g.params  # single-angle rotation gates only
-                if not isinstance(p, Parameter):
-                    raise ValueError("mixed symbolic/concrete params unsupported")
-                angles = p.coeff * table[p.name] + p.offset
-                ms = self._batched_matrix(g.name, angles)
-                if g.num_qubits == 1:
-                    self._apply_1q_batched(ms, g.qubits[0])
-                else:
-                    self._apply_2q_batched(ms, g.qubits[0], g.qubits[1])
-            else:
-                m = g.to_matrix()
-                if g.num_qubits == 1:
-                    self._apply_1q_fixed(m, g.qubits[0])
-                elif g.num_qubits == 2:
-                    self._apply_2q_fixed(m, g.qubits[0], g.qubits[1])
-                else:
-                    raise ValueError("batched mode supports <=2-qubit gates")
-        return self.states
 
     def run_plan(
         self,

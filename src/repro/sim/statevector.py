@@ -19,7 +19,7 @@ mode builds on:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from repro import obs
 from repro.ir.circuit import Circuit
 from repro.ir.gates import Gate
 from repro.sim import kernels
-from repro.utils.profiling import Timer
 
 __all__ = ["StatevectorSimulator"]
 
@@ -48,12 +47,9 @@ class StatevectorSimulator:
     ----------
     num_qubits:
         Register width; allocates 2^n complex128 amplitudes.
-    timer:
-        Optional :class:`repro.utils.profiling.Timer` for kernel-level
-        time accounting.
     """
 
-    def __init__(self, num_qubits: int, timer: Optional[Timer] = None):
+    def __init__(self, num_qubits: int):
         if num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
         if num_qubits > 30:
@@ -65,7 +61,6 @@ class StatevectorSimulator:
         self.dim = 1 << num_qubits
         self.state = np.zeros(self.dim, dtype=np.complex128)
         self.state[0] = 1.0
-        self.timer = timer
         self.gates_applied = 0
         obs.mem_track(self, "statevector", self.state.nbytes)
 
@@ -175,13 +170,8 @@ class StatevectorSimulator:
         with obs.span(
             "sim.run_circuit", gates=len(circuit.gates), qubits=self.num_qubits
         ):
-            if self.timer is not None:
-                with self.timer.section("run_circuit"):
-                    for g in circuit.gates:
-                        self.apply_gate(g)
-            else:
-                for g in circuit.gates:
-                    self.apply_gate(g)
+            for g in circuit.gates:
+                self.apply_gate(g)
         if obs.enabled():
             obs.inc(
                 "repro_sim_circuits_total", help="Circuit executions on the dense simulator"
@@ -218,11 +208,7 @@ class StatevectorSimulator:
         with obs.span(
             "sim.run_plan", ops=plan.num_ops, qubits=self.num_qubits
         ):
-            if self.timer is not None:
-                with self.timer.section("run_circuit"):
-                    plan.execute(self.state, params, reset=reset)
-            else:
-                plan.execute(self.state, params, reset=reset)
+            plan.execute(self.state, params, reset=reset)
         self.gates_applied += plan.num_ops
         if obs.enabled():
             obs.inc(

@@ -13,24 +13,32 @@ from repro.opt.parameter_shift import (
     parameter_shift_gradient,
 )
 from repro.sim.batched import BatchedStatevectorSimulator
+from repro.sim.plan import compile_circuit
 from repro.sim.statevector import StatevectorSimulator
 
 
-def reference_states(circuit, parameter_table, batch):
-    """One-at-a-time execution for comparison."""
-    out = []
-    for b in range(batch):
-        values = {k: float(v[b]) for k, v in parameter_table.items()}
-        bound = circuit.bind(values)
-        out.append(StatevectorSimulator(circuit.num_qubits).run(bound).copy())
-    return np.array(out)
+def reference_states(circuit, rows):
+    """One-at-a-time bind+run execution for comparison."""
+    return np.array(
+        [
+            StatevectorSimulator(circuit.num_qubits).run(circuit.bind(row)).copy()
+            for row in rows
+        ]
+    )
+
+
+def run_batched(circuit, rows):
+    """Execute ``circuit``'s compiled plan over the (B, P) ``rows``."""
+    rows = np.asarray(rows, dtype=float)
+    sim = BatchedStatevectorSimulator(circuit.num_qubits, rows.shape[0])
+    sim.run_plan(compile_circuit(circuit), rows)
+    return sim
 
 
 class TestBatchedSimulator:
     def test_fixed_gates_broadcast(self):
         c = Circuit(3).h(0).cx(0, 1).cx(1, 2)
-        sim = BatchedStatevectorSimulator(3, 4)
-        sim.run(c, {})
+        sim = run_batched(c, np.zeros((4, 0)))
         for b in range(4):
             assert np.isclose(abs(sim.states[b, 0]) ** 2, 0.5)
             assert np.isclose(abs(sim.states[b, 7]) ** 2, 0.5)
@@ -40,74 +48,51 @@ class TestBatchedSimulator:
         c = Circuit(2).h(0).h(1)
         c.add(gate, [0], Parameter("a"))
         c.cx(0, 1)
-        batch = 5
-        table = {"a": rng.uniform(-np.pi, np.pi, size=batch)}
-        sim = BatchedStatevectorSimulator(2, batch)
-        sim.run(c, table)
-        ref = reference_states(c, table, batch)
-        assert np.allclose(sim.states, ref, atol=1e-10)
+        rows = rng.uniform(-np.pi, np.pi, size=(5, 1))
+        sim = run_batched(c, rows)
+        assert np.allclose(sim.states, reference_states(c, rows), atol=1e-10)
 
     @pytest.mark.parametrize("gate", ["rzz", "rxx", "ryy"])
     def test_parameterized_2q_gates(self, gate, rng):
         c = Circuit(3).h(0).h(2)
         c.add(gate, [0, 2], Parameter("b", coeff=0.5, offset=0.1))
-        batch = 4
-        table = {"b": rng.uniform(-2, 2, size=batch)}
-        sim = BatchedStatevectorSimulator(3, batch)
-        sim.run(c, table)
-        ref = reference_states(c, table, batch)
-        assert np.allclose(sim.states, ref, atol=1e-10)
+        rows = rng.uniform(-2, 2, size=(4, 1))
+        sim = run_batched(c, rows)
+        assert np.allclose(sim.states, reference_states(c, rows), atol=1e-10)
 
     def test_hea_batch_matches_serial(self, rng):
         ansatz = hardware_efficient_ansatz(4, layers=2)
-        batch = 6
-        table = {
-            name: rng.uniform(-np.pi, np.pi, size=batch)
-            for name in ansatz.parameters
-        }
-        sim = BatchedStatevectorSimulator(4, batch)
-        sim.run(ansatz, table)
-        ref = reference_states(ansatz, table, batch)
-        assert np.allclose(sim.states, ref, atol=1e-9)
+        rows = rng.uniform(-np.pi, np.pi, size=(6, ansatz.num_parameters))
+        sim = run_batched(ansatz, rows)
+        assert np.allclose(sim.states, reference_states(ansatz, rows), atol=1e-9)
 
     def test_batched_expectations(self, rng):
         ansatz = hardware_efficient_ansatz(3, layers=1)
-        batch = 4
-        table = {
-            name: rng.uniform(-1, 1, size=batch) for name in ansatz.parameters
-        }
+        rows = rng.uniform(-1, 1, size=(4, ansatz.num_parameters))
         h = PauliSum.from_label_dict({"ZZI": 0.5, "IXX": -0.7, "YIY": 0.2})
-        sim = BatchedStatevectorSimulator(3, batch)
-        sim.run(ansatz, table)
-        got = sim.expectations(h)
-        ref = reference_states(ansatz, table, batch)
+        got = run_batched(ansatz, rows).expectations(h)
+        ref = reference_states(ansatz, rows)
         from repro.sim.expectation import expectation_direct
 
-        for b in range(batch):
+        for b in range(len(rows)):
             assert np.isclose(got[b], expectation_direct(ref[b], h), atol=1e-10)
 
     def test_missing_parameter_rejected(self):
         c = Circuit(1).rz(Parameter("x"), 0)
         sim = BatchedStatevectorSimulator(1, 2)
-        with pytest.raises(ValueError):
-            sim.run(c, {})
+        with pytest.raises(ValueError, match="shape"):
+            sim.run_plan(compile_circuit(c), np.zeros((2, 0)))
 
     def test_wrong_vector_length_rejected(self):
         c = Circuit(1).rz(Parameter("x"), 0)
         sim = BatchedStatevectorSimulator(1, 2)
-        with pytest.raises(ValueError):
-            sim.run(c, {"x": np.zeros(3)})
+        with pytest.raises(ValueError, match="shape"):
+            sim.run_plan(compile_circuit(c), np.zeros((3, 1)))
 
     def test_norms_preserved(self, rng):
         ansatz = hardware_efficient_ansatz(3, layers=2)
-        batch = 3
-        table = {
-            name: rng.uniform(-np.pi, np.pi, size=batch)
-            for name in ansatz.parameters
-        }
-        sim = BatchedStatevectorSimulator(3, batch)
-        sim.run(ansatz, table)
-        norms = np.linalg.norm(sim.states, axis=1)
+        rows = rng.uniform(-np.pi, np.pi, size=(3, ansatz.num_parameters))
+        norms = np.linalg.norm(run_batched(ansatz, rows).states, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-10)
 
 

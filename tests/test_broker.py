@@ -123,19 +123,16 @@ class TestBatchedPlanEquivalence:
         assert np.allclose(got, ref, atol=1e-12)
 
     def test_direct_run_supports_cp_and_crz(self, rng):
-        """The ``run`` (circuit template) path shares ``_batched_matrix``
-        with the plan path; cp/crz work there too."""
+        """cp/crz rows run straight through ``run_plan`` (no broker)
+        and match bind+run on the scalar simulator."""
         for gate in ("cp", "crz"):
             c = Circuit(2).h(0).h(1)
             c.add(gate, [0, 1], Parameter("a"))
-            batch = 3
-            table = {"a": rng.uniform(-np.pi, np.pi, size=batch)}
-            sim = BatchedStatevectorSimulator(2, batch)
-            sim.run(c, table)
-            for b in range(batch):
-                ref = StatevectorSimulator(2).run(
-                    c.bind({"a": float(table["a"][b])})
-                )
+            rows = rng.uniform(-np.pi, np.pi, size=(3, 1))
+            sim = BatchedStatevectorSimulator(2, len(rows))
+            sim.run_plan(compile_circuit(c), rows)
+            for b, row in enumerate(rows):
+                ref = StatevectorSimulator(2).run(c.bind(row))
                 assert np.allclose(sim.states[b], ref, atol=1e-12)
 
     def test_unsupported_gate_error_names_gate(self):
@@ -483,6 +480,44 @@ class TestServeBatched:
         assert snap["batch"]["evals_total"] > 0
         screen = Dashboard(str(tmp_path / "srv")).render(snap)
         assert "batch:" in screen
+
+    def test_worker_failure_outside_broker_fails_only_its_job(
+        self, tmp_path, monkeypatch
+    ):
+        """A brokered campaign whose worker thread raises before it ever
+        reaches the broker fails alone: its same-physics peers still
+        batch and succeed in that same tick, and the tick returns."""
+        from repro.core.campaign import CampaignRunner
+
+        srv = CampaignServer(
+            str(tmp_path / "srv"), ServerConfig(num_ranks=2, max_job_attempts=1)
+        )
+        jobs = _submit_fleet(srv, 4)
+        doomed = jobs[1].job_id
+        threads = []
+        run_vqe = CampaignRunner.run_vqe
+
+        def failing_run_vqe(runner, vqe, *args, **kwargs):
+            if os.path.basename(runner.checkpoint_dir) == doomed:
+                threads.append(threading.current_thread())
+                raise RuntimeError("injected worker failure")
+            return run_vqe(runner, vqe, *args, **kwargs)
+
+        monkeypatch.setattr(CampaignRunner, "run_vqe", failing_run_vqe)
+        ticker = threading.Thread(target=srv.tick, daemon=True)
+        ticker.start()
+        ticker.join(timeout=300)
+        assert not ticker.is_alive(), "tick stalled after a worker failure"
+        # the failure was raised on a broker worker thread, not the
+        # server thread's synchronous step path
+        assert threads and threads[0] is not ticker
+        assert srv.jobs[doomed].state == JobState.FAILED
+        assert "injected worker failure" in srv.jobs[doomed].detail
+        for job in jobs:
+            if job.job_id != doomed:
+                assert srv.jobs[job.job_id].state == JobState.SUCCEEDED
+        assert srv.broker.stats()["max_occupancy"] >= 2
+        srv.close()
 
     def test_kill_restart_no_duplicate_completions(self, tmp_path):
         """kill -9 mid-batched-service: the restarted server resumes

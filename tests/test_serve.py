@@ -430,6 +430,8 @@ class TestServerDegradation:
         import repro.serve.server as server_mod
 
         class Idle:
+            brokered = False
+
             def __init__(self, *a, **kw):
                 pass
 
@@ -489,6 +491,8 @@ class TestServerRetryAndBreaker:
         import repro.serve.server as server_mod
 
         class Boom:
+            brokered = False
+
             def __init__(self, *a, **kw):
                 pass
 
@@ -518,6 +522,8 @@ class TestServerRetryAndBreaker:
         import repro.serve.server as server_mod
 
         class Boom:
+            brokered = False
+
             def __init__(self, *a, **kw):
                 pass
 
@@ -571,6 +577,8 @@ class TestServerRetryAndBreaker:
         import repro.serve.server as server_mod
 
         class Boom:
+            brokered = False
+
             def __init__(self, *a, **kw):
                 pass
 
@@ -604,6 +612,8 @@ class TestServerRetryAndBreaker:
         import repro.serve.server as server_mod
 
         class Boom:
+            brokered = False
+
             def __init__(self, *a, **kw):
                 pass
 
@@ -637,6 +647,8 @@ class TestServerDeadlines:
         import repro.serve.server as server_mod
 
         class Slow:
+            brokered = False
+
             def __init__(self, *a, **kw):
                 pass
 
@@ -664,6 +676,8 @@ class TestServerDeadlines:
         import repro.serve.server as server_mod
 
         class Instant:
+            brokered = False
+
             def __init__(self, *a, **kw):
                 pass
 
